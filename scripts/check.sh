@@ -16,7 +16,8 @@
 # search.  The telemetry stage scrapes a live master's /metrics
 # mid-run through the strict OpenMetrics parser, checks the worker
 # stats piggyback, and byte-compares a DES telemetry stream's final
-# record against the run's metrics snapshot.
+# record against the run's metrics snapshot.  The scaling gate checks
+# that two process-backed threaded-runtime PEs beat one by >= 1.5x.
 #
 # Usage: scripts/check.sh
 # Runs from any cwd; needs only the in-repo package (no installs).
@@ -204,6 +205,13 @@ print(f"screen counters OK: {screened} screened, {rescored} rescored "
 PY
 rm -rf "$SCREEN_DIR"
 echo "screen OK: screened + store-backed hits identical, filter engaged"
+
+echo
+echo "== runtime scaling gate: 2 process-backed PEs vs 1 =="
+# Each threaded-runtime PE runs its engine in a forked child, so on two
+# or more CPUs two PEs must finish the same exact search >= 1.5x faster
+# than one, with byte-identical hits (skipped on a single CPU).
+python -m pytest benchmarks/bench_runtime_scaling.py --benchmark-only -q
 
 echo
 echo "== observability smoke benchmark =="

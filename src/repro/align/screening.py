@@ -400,6 +400,11 @@ class ScreenStats:
         with self._lock:
             self._instruments = None
 
+    def reset_after_fork(self) -> None:
+        """In a forked child: a fresh lock and no registry mirror."""
+        self._lock = threading.Lock()
+        self._instruments = None
+
     def add(self, screened: int, rescored: int, saturated: int) -> None:
         """Account one driver call: *rescored* of *screened* sequences."""
         passed = screened - rescored

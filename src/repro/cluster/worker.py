@@ -571,21 +571,25 @@ def _execute(
         nonlocal last
         if check_crash is not None:
             check_crash()
-        if straggle is not None:
-            # Dilate the observed chunk time so the master's rate
-            # estimator sees the straggling for real.
-            straggle(time.perf_counter() - last)
-        now = time.perf_counter()
-        link.call(
-            {
-                "type": "progress",
-                "pe_id": config.pe_id,
-                "cells": chunk.cells,
-                "interval": max(now - last, 1e-9),
-                **span,
-            }
-        )
-        last = now
+        if chunk.cells:
+            # Only a chunk's last subject carries cells; the zero-cell
+            # calls before it stay local crash/cancel checkpoints, so
+            # each message is one rate sample over one whole chunk.
+            if straggle is not None:
+                # Dilate the observed chunk time so the master's rate
+                # estimator sees the straggling for real.
+                straggle(time.perf_counter() - last)
+            now = time.perf_counter()
+            link.call(
+                {
+                    "type": "progress",
+                    "pe_id": config.pe_id,
+                    "cells": chunk.cells,
+                    "interval": max(now - last, 1e-9),
+                    **span,
+                }
+            )
+            last = now
         return task.task_id not in link.cancelled
 
     hits = engine.search(query, database, progress=progress)
@@ -665,20 +669,21 @@ def _execute_batch(
     def progress(position: int, chunk: ChunkProgress) -> bool:
         if check_crash is not None:
             check_crash()
-        if straggle is not None:
-            straggle(time.perf_counter() - state["last"])
-        now = time.perf_counter()
         task = tasks[position]
-        link.call(
-            {
-                "type": "progress",
-                "pe_id": config.pe_id,
-                "cells": chunk.cells,
-                "interval": max(now - state["last"], 1e-9),
-                **spans[task.task_id],
-            }
-        )
-        state["last"] = now
+        if chunk.cells:  # zero-cell calls stay local checkpoints
+            if straggle is not None:
+                straggle(time.perf_counter() - state["last"])
+            now = time.perf_counter()
+            link.call(
+                {
+                    "type": "progress",
+                    "pe_id": config.pe_id,
+                    "cells": chunk.cells,
+                    "interval": max(now - state["last"], 1e-9),
+                    **spans[task.task_id],
+                }
+            )
+            state["last"] = now
         return task.task_id not in link.cancelled
 
     def cancelled(position: int) -> bool:

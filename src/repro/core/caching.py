@@ -88,6 +88,31 @@ class KeyedLRU:
         with self._lock:
             self._instruments = None
 
+    def reset_after_fork(self) -> None:
+        """In a forked child: a fresh lock and no registry mirror.
+
+        Another parent thread may have held the lock at the fork; the
+        child's counts go back to the parent through :meth:`absorb`.
+        """
+        self._lock = threading.Lock()
+        self._instruments = None
+
+    def absorb(self, hits: int, misses: int, evictions: int) -> None:
+        """Fold counts accrued by a forked copy of this cache."""
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+            self.evictions += evictions
+            if self._instruments is None:
+                return
+            for family, count in (
+                (self._instruments.hits, hits),
+                (self._instruments.misses, misses),
+                (self._instruments.evictions, evictions),
+            ):
+                if count:  # in-process, a series appears on first use
+                    family.labels(cache=self.name).inc(count)
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -135,6 +135,14 @@ class Engine(abc.ABC):
         if stats is not None:
             stats.bind(registry)
 
+    def prepare(self, database: SequenceDatabase) -> None:
+        """Build this engine's cached conversions of *database* now.
+
+        Process-backed PEs call this before forking, so every child
+        inherits the cached packs instead of building its own.  Engines
+        without a pack cache have nothing to build.
+        """
+
     def search(
         self,
         query: Sequence,
@@ -355,6 +363,13 @@ class InterSequenceEngine(Engine):
         return self.pack_cache.binned_packs(
             database, self.matrix, self.screen_lanes, self.screen_bin_width
         )
+
+    def prepare(self, database):
+        if self.pack_cache is not None:
+            if self.screen:
+                self._binned_packs(database)
+            else:
+                self._packs(database)
 
     def _screen_profile(self, query_codes):
         if self.profile_cache is None:

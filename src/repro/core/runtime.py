@@ -1,10 +1,15 @@
 """Threaded master/slave runtime with real kernels.
 
 This is the execution environment of Fig. 4 running for real: one
-worker thread per PE, each driving its engine over actual sequence
-data, with the shared :class:`~repro.core.master.Master` arbitrating
-behind a lock (the lock plays the role of the Gigabit Ethernet link —
-every interaction slaves have with the master goes through it).
+worker thread per PE talks to the shared
+:class:`~repro.core.master.Master`, which arbitrates behind a lock (the
+lock plays the role of the Gigabit Ethernet link — every interaction
+slaves have with the master goes through it), while the PE's engine
+runs in a child process forked for the run
+(:class:`~repro.core.enginehost.EngineHost`), so PEs compute in
+parallel instead of taking turns on one interpreter.  The thread keeps
+the whole protocol — requests, progress, completions, cancellations,
+fault injection — and only the engine call crosses to the child.
 
 The same master also runs under virtual time in :mod:`repro.simulate`;
 this runtime exists so that correctness-scale workloads exercise the
@@ -24,6 +29,7 @@ from ..faults import FaultInjector, FaultPlan, InjectedCrash, MasterCrashed
 from ..observability import EventLog, MetricsRegistry, finalize_run_metrics
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
+from .enginehost import EngineHost, start_hosts, stop_hosts
 from .engines import ChunkProgress, Engine
 from .master import Assignment, Master, TraceEvent
 from .policies import AllocationPolicy, PackageWeightedSelfScheduling
@@ -37,7 +43,8 @@ _WAIT_POLL_SECONDS = 0.002
 
 #: Heartbeat reap timeout used when faults are injected but no explicit
 #: ``heartbeat_timeout`` was given — generous against progress
-#: notifications that arrive every few milliseconds.
+#: notifications, which arrive once per chunk (tens of milliseconds
+#: for a lane pack of typical subjects).
 _DEFAULT_HEARTBEAT_SECONDS = 1.0
 
 #: Pause before a dropped-but-required message is retransmitted.
@@ -278,34 +285,41 @@ class _FaultyChannel:
 
 
 class _Worker(threading.Thread):
-    """One slave PE: request -> execute -> notify, until done."""
+    """One slave PE: request -> execute -> notify, until done.
+
+    The engine call of each task runs in the PE's forked *host*
+    process; everything else — every master interaction, fault
+    injection, cancel flags — stays on this thread.  Setting *stop*
+    makes the worker leave at its next request; a worker that fails
+    for a reason other than an injected fault sets it for the others.
+    """
 
     def __init__(
         self,
         pe_id: str,
-        engine: Engine,
+        host: EngineHost,
         shared: _SharedMaster,
         queries: list[Sequence],
-        chunks: list[SequenceDatabase],
         chunk_offsets: list[int],
         cancel_flags: dict[str, set[int]],
         cancel_lock: threading.Lock,
         clock,
         injector: FaultInjector | None = None,
         batch: int = 1,
+        stop: threading.Event | None = None,
     ):
         super().__init__(name=pe_id, daemon=True)
         self.pe_id = pe_id
-        self.engine = engine
+        self.host = host
         self.shared = shared
         self.queries = queries
-        self.chunks = chunks
         self.chunk_offsets = chunk_offsets
         self.cancel_flags = cancel_flags
         self.cancel_lock = cancel_lock
         self.clock = clock
         self.injector = injector
         self.batch = batch
+        self.stop = stop if stop is not None else threading.Event()
         self.tasks_done = 0
         self.error: BaseException | None = None
 
@@ -314,6 +328,8 @@ class _Worker(threading.Thread):
             self._serve()
         except BaseException as exc:  # surfaced by the runtime
             self.error = exc
+            if not isinstance(exc, (InjectedCrash, MasterCrashed)):
+                self.stop.set()
 
     def _cancelled(self, task_id: int) -> bool:
         with self.cancel_lock:
@@ -329,7 +345,7 @@ class _Worker(threading.Thread):
             raise InjectedCrash(self.pe_id)
 
     def _serve(self) -> None:
-        while True:
+        while not self.stop.is_set():
             self._check_crash()
             assignment = self.shared.request(self.pe_id, self.clock())
             if assignment.done:
@@ -360,12 +376,13 @@ class _Worker(threading.Thread):
 
     def _execute(self, task: Task) -> None:
         query = self.queries[task.query_index]
-        database = self.chunks[task.chunk_index]
         started = self.clock()
-        last_notify = started
-        state = {"last": last_notify}
+        state = {"last": started}
 
         def progress(chunk: ChunkProgress) -> bool:
+            # Called once per chunk (the host keeps the engine's
+            # zero-cell per-subject calls in the child), so every call
+            # is one PSS rate sample over the time since the last one.
             self._check_crash()  # crashes can fire mid-task
             now = self.clock()
             interval = now - state["last"]
@@ -380,7 +397,7 @@ class _Worker(threading.Thread):
             self.shared.progress(self.pe_id, now, chunk.cells, interval)
             return not self._cancelled(task.task_id)
 
-        hits = self.engine.search(query, database, progress=progress)
+        hits = self.host.search(query, task.chunk_index, progress)
         now = self.clock()
         if hits is None:  # aborted by cancellation
             self.shared.cancelled(self.pe_id, task.task_id, now)
@@ -410,7 +427,6 @@ class _Worker(threading.Thread):
         """
         tasks = group.tasks
         queries = [self.queries[t.query_index] for t in tasks]
-        database = self.chunks[group.chunk_index]
         started = self.clock()
         state = {"last": started}
 
@@ -432,8 +448,8 @@ class _Worker(threading.Thread):
         def cancelled(position: int) -> bool:
             return self._cancelled(tasks[position].task_id)
 
-        hit_lists = self.engine.search_batch(
-            queries, database, progress=progress, cancelled=cancelled
+        hit_lists = self.host.search_batch(
+            queries, group.chunk_index, progress, cancelled
         )
         now = self.clock()
         total_elapsed = max(now - started, 1e-9)
@@ -460,11 +476,12 @@ class _Worker(threading.Thread):
 
 
 class HybridRuntime:
-    """Run a whole workload on a set of engine-backed worker threads.
+    """Run a whole workload on a set of engine-backed PEs.
 
     ``engines`` maps PE ids to :class:`Engine` instances, e.g. two
     GPU-analogues and four SSE-analogues for a miniature of the paper's
-    platform.
+    platform.  Each :meth:`run` forks one engine process per PE after
+    building its master and stops them when the run ends.
     """
 
     def __init__(
@@ -547,20 +564,6 @@ class HybridRuntime:
         def clock() -> float:
             return time.perf_counter() - start
 
-        sampler: "TelemetrySampler | None" = None
-        if self.telemetry_path is not None:
-            from ..observability import TelemetrySampler, TelemetryWriter
-
-            sampler = TelemetrySampler(
-                TelemetryWriter(
-                    self.telemetry_path,
-                    metrics.snapshot,
-                    clock,
-                    interval=self.telemetry_interval,
-                    environment="threaded",
-                )
-            ).start()
-
         store: CheckpointStore | None = None
         if self.checkpoint_dir is not None:
             store = CheckpointStore(
@@ -605,43 +608,59 @@ class HybridRuntime:
 
         cancel_lock = threading.Lock()
         cancel_flags: dict[str, set[int]] = {pe: set() for pe in self.engines}
+        # Fork the engine hosts before any thread of this run exists, so
+        # no lock can be caught mid-hold in a child; they exit below.
+        hosts = start_hosts(self.engines, chunks)
+        stop = threading.Event()
         workers = [
             _Worker(
                 pe_id,
-                engine,
+                hosts[pe_id],
                 channel,
                 queries,
-                chunks,
                 offsets,
                 cancel_flags,
                 cancel_lock,
                 clock,
                 injector,
                 batch=self.batch,
+                stop=stop,
             )
-            for pe_id, engine in self.engines.items()
+            for pe_id in self.engines
         ]
         for worker in workers:
             shared.register(worker.pe_id, clock())
 
+        sampler: "TelemetrySampler | None" = None
         reaper_stop = threading.Event()
         reaper: threading.Thread | None = None
-        if heartbeat:
-            def _reap_loop() -> None:
-                while not reaper_stop.wait(heartbeat / 4):
-                    if shared.finished:
-                        return
-                    try:
-                        shared.reap(clock(), heartbeat)
-                    except MasterCrashed:
-                        return
-
-            reaper = threading.Thread(
-                target=_reap_loop, name="reaper", daemon=True
-            )
-            reaper.start()
-
         try:
+            if self.telemetry_path is not None:
+                from ..observability import TelemetrySampler, TelemetryWriter
+
+                sampler = TelemetrySampler(
+                    TelemetryWriter(
+                        self.telemetry_path,
+                        metrics.snapshot,
+                        clock,
+                        interval=self.telemetry_interval,
+                        environment="threaded",
+                    )
+                ).start()
+            if heartbeat:
+                def _reap_loop() -> None:
+                    while not reaper_stop.wait(heartbeat / 4):
+                        if shared.finished:
+                            return
+                        try:
+                            shared.reap(clock(), heartbeat)
+                        except MasterCrashed:
+                            return
+
+                reaper = threading.Thread(
+                    target=_reap_loop, name="reaper", daemon=True
+                )
+                reaper.start()
             for worker in workers:
                 worker.start()
             for worker in workers:
@@ -650,6 +669,7 @@ class HybridRuntime:
             reaper_stop.set()
             if reaper is not None:
                 reaper.join()
+            stop_hosts(hosts)
             if store is not None:
                 store.close()
             if sampler is not None:

@@ -302,8 +302,10 @@ def run_loadgen(
     Synthesizes one random query per arrival (seeded by *rng*, so runs
     replay exactly), round-robins them over *tenants*, submits on the
     arrival schedule, then waits for every admitted request to reach a
-    terminal state.  Late submissions never block the schedule: a slow
-    ``submit`` simply delays subsequent arrivals the way a real
+    terminal state.  A request's latency is the master's
+    ``finished_at - submitted_at``, so polling after the schedule ends
+    does not inflate it.  Late submissions never block the schedule: a
+    slow ``submit`` simply delays subsequent arrivals the way a real
     client's stalled connection would.
 
     ``retries > 0`` switches each submission to
@@ -321,7 +323,7 @@ def run_loadgen(
         min_length=min_length, max_length=max_length,
     )
     report = LoadgenReport(rate=rate, horizon=horizon)
-    pending: list[tuple[str, float]] = []  # (request_id, submitted_at)
+    pending: list[str] = []  # admitted request ids
     client = ServiceClient(host, port)
     try:
         start = time.perf_counter()
@@ -353,20 +355,22 @@ def run_loadgen(
                 )
             if reply.get("type") == "accepted":
                 report.admitted += 1
-                pending.append(
-                    (str(reply["request_id"]), time.perf_counter())
-                )
+                pending.append(str(reply["request_id"]))
             elif reply.get("type") == "unreachable":
                 report.unreachable += 1
             else:
                 reason = str(reply.get("reason", "unknown"))
                 report.shed[reason] = report.shed.get(reason, 0) + 1
-        for request_id, submitted in pending:
+        for request_id in pending:
             reply = client.wait(request_id, timeout=wait_timeout)
             state = reply.get("state")
             if state == "done":
                 report.completed += 1
-                report.latencies.append(time.perf_counter() - submitted)
+                # Both stamps come from the master's clock: the poll
+                # may run long after the request finished.
+                report.latencies.append(
+                    reply["finished_at"] - reply["submitted_at"]
+                )
                 if collect_hits:
                     report.hits[request_id] = reply.get("hits") or ()
             elif state == "expired":

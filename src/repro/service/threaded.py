@@ -1,9 +1,12 @@
 """In-process always-on search service (threaded environment).
 
 The service analogue of :class:`~repro.core.runtime.HybridRuntime`:
-the same ``_Worker`` threads and lock-guarded master facade, but the
-workload arrives over :meth:`ThreadedSearchService.submit` while the
-workers run, instead of being preloaded.  A ticker thread drives
+the same ``_Worker`` threads and lock-guarded master facade, each
+worker driving its PE's engine in a process forked at :meth:`start`
+(the database is inherited; every task sends its query over the
+PE's pipe), but the workload arrives over
+:meth:`ThreadedSearchService.submit` while the workers run, instead of
+being preloaded.  A ticker thread drives
 :meth:`ServiceCore.tick` so completions finalize, deadlines expire
 (propagating cancel flags to executing workers, exactly the replica
 cancellation path) and the dispatch window refills.
@@ -20,6 +23,7 @@ import threading
 import time
 
 from ..align.api import SearchHit
+from ..core.enginehost import EngineHost, start_hosts, stop_hosts
 from ..core.engines import Engine
 from ..core.master import Master
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
@@ -37,7 +41,7 @@ _WAIT_SECONDS = 0.002
 
 
 class ThreadedSearchService:
-    """A long-running search front door over worker threads.
+    """A long-running search front door over process-backed PEs.
 
     Usage::
 
@@ -120,6 +124,7 @@ class ThreadedSearchService:
             pe: set() for pe in self.engines
         }
         self._workers: list[_Worker] = []
+        self._hosts: dict[str, EngineHost] = {}
         self._ticker: threading.Thread | None = None
         self._ticker_stop = threading.Event()
         self._started = False
@@ -149,19 +154,20 @@ class ThreadedSearchService:
         if self._started:
             return self
         self._started = True
+        # Fork before this service starts any thread of its own.
+        self._hosts = start_hosts(self.engines, [self.database])
         self._workers = [
             _Worker(
                 pe_id,
-                engine,
+                self._hosts[pe_id],
                 self.shared,
                 self.queries,
-                [self.database],
                 [0],
                 self._cancel_flags,
                 self._cancel_lock,
                 self._clock,
             )
-            for pe_id, engine in self.engines.items()
+            for pe_id in self.engines
         ]
         for worker in self._workers:
             self.shared.register(worker.pe_id, self._clock())
@@ -293,6 +299,7 @@ class ThreadedSearchService:
             time.sleep(_WAIT_SECONDS)
         for worker in self._workers:
             worker.join(timeout=max(0.0, limit - time.perf_counter()))
+        self._stop_hosts()
         return self.shared.with_lock(
             lambda m: self.core.final_record(self._clock())
         )
@@ -322,27 +329,37 @@ class ThreadedSearchService:
         self.shared.with_lock(_arm)
         for worker in self._workers:
             worker.join(timeout=5.0)
+        self._stop_hosts()
         if self._store is not None:
             self._store.close()
             self._store = None
 
     def close(self) -> None:
-        """Drain (if not already) and stop the ticker."""
+        """Drain (if not already), stop the ticker and engine processes."""
         if self._closed:
             return
         self._closed = True
-        if self._started and not self.core.drained:
-            self.drain()
-        self._ticker_stop.set()
-        if self._ticker is not None:
-            self._ticker.join()
+        try:
+            if self._started and not self.core.drained:
+                self.drain()
+        finally:
+            self._ticker_stop.set()
+            if self._ticker is not None:
+                self._ticker.join()
+            for worker in self._workers:
+                worker.join(timeout=5.0)
+            self._stop_hosts()
+            if self._store is not None:
+                self._store.close()
+                self._store = None
         for worker in self._workers:
-            worker.join(timeout=5.0)
             if worker.error is not None:
                 raise worker.error
-        if self._store is not None:
-            self._store.close()
-            self._store = None
+
+    def _stop_hosts(self) -> None:
+        """Stop the engine processes once no worker needs them."""
+        stop_hosts(self._hosts)
+        self._hosts = {}
 
     def __enter__(self) -> "ThreadedSearchService":
         return self.start()
